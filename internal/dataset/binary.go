@@ -19,6 +19,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"skyquery/internal/value"
 )
@@ -127,7 +128,9 @@ func (e *ColumnarEncoder) WritePage(rows [][]value.Value) error {
 			return fmt.Errorf("dataset: columnar page row %d has %d cells, want %d", r, len(row), len(e.cols))
 		}
 	}
-	e.buf = e.buf[:0]
+	// Size the frame for fixed-width columns (tag, null flag, 8 bytes a
+	// cell) once, instead of growing a fresh stream's buffer by doubling.
+	e.buf = slices.Grow(e.buf[:0], 4+len(e.cols)*(2+8*len(rows)))
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(rows)))
 	for ci, c := range e.cols {
 		e.encodeColumn(ci, c.Type, rows)

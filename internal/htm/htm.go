@@ -15,11 +15,23 @@
 // exactly: trixels entirely inside the circle contribute all their objects,
 // trixels that merely intersect contribute candidates that are then tested
 // individually.
+//
+// Covering a cap is the per-tuple cost of every cross-match step, so
+// CoverCap avoids both redundant trixels and trigonometry. A cap under 90°
+// first descends from the root holding its centre to the deepest trixel
+// whose three edge planes all keep the cap strictly inside; every trixel
+// outside that one is disjoint from the cap and would be dropped by the
+// classification anyway, so the walk starts there instead of at the 8
+// roots and the cover does not change. The cap-versus-edge test is made
+// with dot products against edge planes (Kunszt, Szalay & Thakar, "The
+// Hierarchical Triangular Mesh", 2001) using sin r computed once per cover,
+// never with angular distances.
 package htm
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"skyquery/internal/sphere"
@@ -75,19 +87,31 @@ func rootTriangle(i int) Triangle {
 }
 
 // child returns the k-th child of t (k in 0..3).
-func (t Triangle) child(k int) Triangle {
-	w0 := t[1].Add(t[2]).Normalize()
-	w1 := t[0].Add(t[2]).Normalize()
-	w2 := t[0].Add(t[1]).Normalize()
+func (t Triangle) child(k int) Triangle { return t.childOf(k, t.midpoints()) }
+
+// midpoints returns the normalized edge midpoints the children join: w[0]
+// is opposite t[0], w[1] opposite t[1], w[2] opposite t[2].
+func (t Triangle) midpoints() [3]sphere.Vec {
+	return [3]sphere.Vec{
+		t[1].Add(t[2]).Normalize(),
+		t[0].Add(t[2]).Normalize(),
+		t[0].Add(t[1]).Normalize(),
+	}
+}
+
+// childOf returns the k-th child of t given t's midpoints w. Every trixel
+// geometry is built here, so a triangle reached by any descent is
+// bit-identical to the one the cover walk classifies.
+func (t Triangle) childOf(k int, w [3]sphere.Vec) Triangle {
 	switch k {
 	case 0:
-		return Triangle{t[0], w2, w1}
+		return Triangle{t[0], w[2], w[1]}
 	case 1:
-		return Triangle{t[1], w0, w2}
+		return Triangle{t[1], w[0], w[2]}
 	case 2:
-		return Triangle{t[2], w1, w0}
+		return Triangle{t[2], w[1], w[0]}
 	default:
-		return Triangle{w0, w1, w2}
+		return Triangle{w[0], w[1], w[2]}
 	}
 }
 
@@ -114,22 +138,11 @@ func (id ID) Level() int {
 	if id < 8 {
 		return -1
 	}
-	bits := 64 - leadingZeros(uint64(id))
-	if (bits-4)%2 != 0 {
+	n := 64 - bits.LeadingZeros64(uint64(id))
+	if (n-4)%2 != 0 {
 		return -1
 	}
-	return (bits - 4) / 2
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
+	return (n - 4) / 2
 }
 
 // Valid reports whether id names a trixel.
@@ -206,24 +219,30 @@ func Lookup(v sphere.Vec, level int) ID {
 	id := ID(8 + ri)
 	t := rootTriangle(ri)
 	for l := 0; l < level; l++ {
-		found := false
-		for k := 0; k < 4; k++ {
-			c := t.child(k)
-			if c.Contains(v) {
-				id = id.Child(k)
-				t = c
-				found = true
-				break
-			}
-		}
-		if !found {
-			// Numerical corner case on a shared edge: fall into the
-			// middle child, which borders all others.
-			id = id.Child(3)
-			t = t.child(3)
-		}
+		m := t.midpoints()
+		k := childHolding(&t, &m, v)
+		id, t = id.Child(k), t.childOf(k, m)
 	}
 	return id
+}
+
+// childHolding returns the first child of t (with midpoints m) whose
+// Contains holds v. A point in none of the corner children 0..2 takes the
+// middle child 3, whether it holds the point or, in a numerical corner
+// case on a shared edge, none does: the middle child borders all others.
+// Corner child k is {t[k], m[k+2], m[k+1]} (indices mod 3), as childOf
+// builds it; its edge to the middle child is tested first, since a point
+// elsewhere in t fails there, and the conjunction is Contains' own.
+func childHolding(t *Triangle, m *[3]sphere.Vec, v sphere.Vec) int {
+	for k := 0; k < 3; k++ {
+		a, b, c := t[k], m[(k+2)%3], m[(k+1)%3]
+		if b.Cross(c).Dot(v) >= -containsEps &&
+			a.Cross(b).Dot(v) >= -containsEps &&
+			c.Cross(a).Dot(v) >= -containsEps {
+			return k
+		}
+	}
+	return 3
 }
 
 // Range is an inclusive range of trixel IDs at a common level.
@@ -286,12 +305,18 @@ func (c Cover) Ranges() []Range {
 	return MergeRanges(all)
 }
 
-// MergeRanges sorts ranges and merges overlapping or adjacent ones.
+// MergeRanges sorts ranges and merges overlapping or adjacent ones. Input
+// already in ascending order, as a cover walk emits it, is not re-sorted.
 func MergeRanges(rs []Range) []Range {
 	if len(rs) <= 1 {
 		return rs
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Lo < rs[i-1].Lo {
+			sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
+			break
+		}
+	}
 	out := rs[:1]
 	for _, r := range rs[1:] {
 		last := &out[len(out)-1]
@@ -308,12 +333,21 @@ func MergeRanges(rs []Range) []Range {
 
 // CoverCap computes the trixels covering a spherical cap, descending at
 // most to subdivideLevel and reporting ranges at leafLevel (the level at
-// which objects are indexed). subdivideLevel must be <= leafLevel.
+// which objects are indexed). A subdivideLevel above leafLevel is clamped
+// to it.
 //
 // The classification follows the paper: a trixel whose vertices all lie in
 // the cap is inner; a trixel that intersects the cap boundary is split
 // until subdivideLevel and then reported as partial; disjoint trixels are
 // dropped.
+//
+// A cap under 90° does not start the walk at the 8 roots. It first
+// descends from the root holding its centre to the deepest trixel, at most
+// subdivideLevel deep, that keeps the whole cap strictly inside all three
+// of its edge planes, and walks from there. Every trixel outside that
+// enclosing trixel is disjoint from the cap, and its ancestors all hold the
+// centre and are split, so the walk from the roots would reach exactly the
+// same ranges. Caps that no root encloses walk from the 8 roots.
 func CoverCap(c sphere.Cap, subdivideLevel, leafLevel int) Cover {
 	if leafLevel > MaxLevel {
 		leafLevel = MaxLevel
@@ -324,30 +358,120 @@ func CoverCap(c sphere.Cap, subdivideLevel, leafLevel int) Cover {
 	if subdivideLevel < 0 {
 		subdivideLevel = 0
 	}
-	cov := Cover{Level: leafLevel}
-	for i := 0; i < 8; i++ {
-		coverRecurse(ID(8+i), rootTriangle(i), c, subdivideLevel, leafLevel, &cov)
+	r := c.Radius
+	sin := math.Sin(r * sphere.RadPerDeg)
+	w := coverWalk{
+		c:        c,
+		sin2:     sin * sin,
+		wide:     r >= 90,
+		noEdge:   !(r >= 0),
+		enclose2: sin*sin + encloseMargin,
+		sub:      subdivideLevel,
+		leaf:     leafLevel,
+		cov:      Cover{Level: leafLevel},
 	}
-	cov.Inner = MergeRanges(cov.Inner)
-	cov.Partial = MergeRanges(cov.Partial)
-	return cov
+	if id, level, t, ok := w.enclosing(); ok {
+		w.recurse(id, level, t)
+	} else {
+		for i := 0; i < 8; i++ {
+			w.recurse(ID(8+i), 0, rootTriangle(i))
+		}
+	}
+	w.cov.Inner = MergeRanges(w.cov.Inner)
+	w.cov.Partial = MergeRanges(w.cov.Partial)
+	return w.cov
 }
 
-func coverRecurse(id ID, t Triangle, c sphere.Cap, subdivideLevel, leafLevel int, cov *Cover) {
-	switch classify(t, c) {
+// coverWalk is one CoverCap call: the cap with what classifying trixels
+// against it needs, computed once so no trigonometry runs per trixel; the
+// levels; and the cover being built.
+type coverWalk struct {
+	c sphere.Cap
+	// sin2 is sin²r, the squared sine of the radius, for caps under 90°.
+	sin2 float64
+	// wide marks caps of 90° or more, which reach the nearest point of
+	// every great circle: it is at most 90° away.
+	wide bool
+	// noEdge marks negative or NaN radii, whose boundary reaches no edge.
+	noEdge bool
+	// enclose2 is sin²r + encloseMargin: the squared sine an edge plane
+	// must keep the centre beyond for the cap to count as inside it.
+	enclose2  float64
+	sub, leaf int
+	cov       Cover
+}
+
+// recurse classifies trixel id (at level, with geometry t) and records it
+// or splits it.
+func (w *coverWalk) recurse(id ID, level int, t Triangle) {
+	switch w.classify(t) {
 	case disjoint:
 		return
 	case inside:
-		cov.Inner = append(cov.Inner, id.AtLevel(leafLevel))
+		w.cov.Inner = append(w.cov.Inner, id.AtLevel(w.leaf))
 	case partial:
-		if id.Level() >= subdivideLevel {
-			cov.Partial = append(cov.Partial, id.AtLevel(leafLevel))
+		if level >= w.sub {
+			w.cov.Partial = append(w.cov.Partial, id.AtLevel(w.leaf))
 			return
 		}
+		m := t.midpoints()
 		for k := 0; k < 4; k++ {
-			coverRecurse(id.Child(k), t.child(k), c, subdivideLevel, leafLevel, cov)
+			w.recurse(id.Child(k), level+1, t.childOf(k, m))
 		}
 	}
+}
+
+// enclosing finds the deepest trixel, at most w.sub deep, that strictly
+// encloses a cap under 90°. ok is false when the cap is 90° or wider (or
+// its radius is negative or NaN) or when no root encloses it.
+func (w *coverWalk) enclosing() (id ID, level int, t Triangle, ok bool) {
+	r := w.c.Radius
+	if !(r >= 0 && r < 90) {
+		return 0, 0, Triangle{}, false
+	}
+	p := w.c.Center
+	for i := 0; i < 8; i++ {
+		if t = rootTriangle(i); t.Contains(p) {
+			id = ID(8 + i)
+			break
+		}
+	}
+	if id == 0 || !w.encloses(t) {
+		return 0, 0, Triangle{}, false
+	}
+	for level < w.sub {
+		m := t.midpoints()
+		k := childHolding(&t, &m, p)
+		c := t.childOf(k, m)
+		if !w.encloses(c) {
+			break
+		}
+		id, level, t = id.Child(k), level+1, c
+	}
+	return id, level, t, true
+}
+
+// encloseMargin is added to sin²r in the enclosing test. It only makes
+// the descent stop a level early near an edge, never changes a cover, and
+// at 1e-6 rad (0.2″) it dominates every rounding the enclosure must beat:
+// the plane-distance tests, the vertex dot test p·v ≥ cos r (which cannot
+// tell angles apart below ~1e-8 rad near 1), and Triangle.Contains'
+// containsEps slack, which a neighbouring trixel grants in unnormalized
+// plane units, ~2e-7 rad at level 24.
+const encloseMargin = 1e-12
+
+// encloses reports whether the cap lies strictly inside all three edge
+// planes of t: n·p > sin r·|n| for each edge normal n, with a margin.
+func (w *coverWalk) encloses(t Triangle) bool {
+	p := w.c.Center
+	for i := 0; i < 3; i++ {
+		n := t[i].Cross(t[(i+1)%3])
+		d := n.Dot(p)
+		if d <= 0 || d*d <= w.enclose2*n.Dot(n) {
+			return false
+		}
+	}
+	return true
 }
 
 type classification int
@@ -358,77 +482,75 @@ const (
 	inside
 )
 
-// classify determines the relation of a trixel to a cap.
-func classify(t Triangle, c sphere.Cap) classification {
+// classify determines the relation of a trixel to the cap.
+func (w *coverWalk) classify(t Triangle) classification {
 	in := 0
 	for _, v := range t {
-		if c.Contains(v) {
+		if w.c.Contains(v) {
 			in++
 		}
 	}
-	if in == 3 {
-		if c.Radius <= 90 {
-			// A cap of radius <= 90° is geodesically convex, so a
-			// triangle with all vertices inside lies entirely inside.
-			return inside
-		}
-		// Larger caps are not convex; the triangle may poke out the far
-		// side. Treat conservatively as partial: candidates are
-		// re-tested individually anyway.
-		if !capBoundaryNearTriangle(t, c) {
-			return inside
-		}
-		return partial
+	if in == 3 && w.c.Radius <= 90 {
+		// A cap of radius <= 90° is geodesically convex, so a triangle
+		// with all vertices inside lies entirely inside.
+		return inside
 	}
 	if in > 0 {
+		// A vertex in the cap puts the boundary within reach of its
+		// edges. That includes a cap over 90° holding all three: it is
+		// not convex, the triangle may poke out the far side, and it is
+		// treated conservatively as partial (candidates are re-tested
+		// individually anyway).
 		return partial
 	}
 	// No vertex inside. The cap may still poke through an edge or sit
 	// entirely within the triangle.
-	if t.Contains(c.Center) {
-		return partial
-	}
-	if capBoundaryNearTriangle(t, c) {
+	if t.Contains(w.c.Center) || w.edgeNear(t) {
 		return partial
 	}
 	return disjoint
 }
 
-// capBoundaryNearTriangle reports whether the cap boundary circle comes
-// within the triangle's edges, i.e. whether the angular distance from the
-// cap center to any edge segment is at most the cap radius.
-func capBoundaryNearTriangle(t Triangle, c sphere.Cap) bool {
+// edgeNear reports whether the cap boundary comes within one of the
+// triangle's edges, i.e. whether the angular distance from the centre p to
+// some edge segment is at most the radius r. It is called only when no
+// vertex is in the cap, so an edge counts only when the great-circle foot
+// of p falls inside the segment (otherwise the nearest point is an
+// endpoint, already outside) and p is within r of the edge's plane:
+// |n·p| ≤ sin r·|n| for the edge normal n = a×b, tested squared. A cap of
+// 90° or more reaches any foot.
+func (w *coverWalk) edgeNear(t Triangle) bool {
+	if w.noEdge {
+		return false
+	}
+	p := w.c.Center
 	for i := 0; i < 3; i++ {
 		a, b := t[i], t[(i+1)%3]
-		if distToArc(c.Center, a, b) <= c.Radius {
+		n := a.Cross(b)
+		nn := n.Dot(n)
+		if nn == 0 {
+			continue // degenerate arc: a point, tested as a vertex
+		}
+		if np := n.Dot(p); !w.wide && np*np > w.sin2*nn {
+			continue
+		}
+		pa, pb, ab := p.Dot(a), p.Dot(b), a.Dot(b)
+		// |n×p| = |pa·b − pb·a| = |n|·(distance of p from n's axis).
+		if f := b.Scale(pa).Sub(a.Scale(pb)); f.Dot(f) < 1e-30*nn {
+			// p is a pole of the edge's great circle, 90° from all of it.
+			if w.wide {
+				return true
+			}
+			continue
+		}
+		// The foot lies inside the segment iff (a×p)·n ≥ 0 and
+		// (p×b)·n ≥ 0; expanded for unit a and b these are the two
+		// dot-product forms below.
+		if pb-ab*pa >= 0 && pa-ab*pb >= 0 {
 			return true
 		}
 	}
 	return false
-}
-
-// distToArc returns the angular distance in degrees from the unit vector p
-// to the geodesic arc segment from a to b.
-func distToArc(p, a, b sphere.Vec) float64 {
-	n := a.Cross(b)
-	if n.Norm() == 0 {
-		// Degenerate arc.
-		return p.Sep(a)
-	}
-	n = n.Normalize()
-	// Closest point on the full great circle.
-	cp := p.Sub(n.Scale(n.Dot(p)))
-	if cp.Norm() < 1e-15 {
-		// p is at the circle's pole: equidistant from the whole circle.
-		return 90
-	}
-	cp = cp.Normalize()
-	// Is cp within the segment? It is iff it lies on the arc side of both
-	// endpoints: (a × cp)·n >= 0 and (cp × b)·n >= 0.
-	if a.Cross(cp).Dot(n) >= 0 && cp.Cross(b).Dot(n) >= 0 {
-		return p.Sep(cp)
-	}
-	return math.Min(p.Sep(a), p.Sep(b))
 }
 
 // TrixelSize returns the approximate angular side length in degrees of a
@@ -437,12 +559,22 @@ func TrixelSize(level int) float64 {
 	return 90 / math.Pow(2, float64(level))
 }
 
+// trixelSizes holds TrixelSize for every level, so that LevelForRadius,
+// which runs once per cross-match tuple, makes no math.Pow call.
+var trixelSizes = func() (s [MaxLevel + 1]float64) {
+	for l := range s {
+		s[l] = TrixelSize(l)
+	}
+	return s
+}()
+
 // LevelForRadius returns a subdivision level whose trixels are commensurate
 // with a search radius: fine enough that partial trixels do not dominate,
-// coarse enough that the cover stays short.
+// coarse enough that the cover stays short. It is the level after the
+// first whose trixel size is at most the radius, capped at MaxLevel.
 func LevelForRadius(radiusDeg float64) int {
 	level := 0
-	for TrixelSize(level) > radiusDeg && level < MaxLevel {
+	for level < MaxLevel && trixelSizes[level] > radiusDeg {
 		level++
 	}
 	// One extra level tightens the cover boundary considerably.

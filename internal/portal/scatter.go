@@ -98,11 +98,7 @@ func shardsForArea(m *registry.ShardMap, area *plan.Area) []registry.Shard {
 		return m.Shards
 	}
 	bound := region.Bounding()
-	sub := htm.LevelForRadius(bound.Radius)
-	if sub > m.Level {
-		sub = m.Level
-	}
-	ranges := htm.CoverCap(bound, sub, m.Level).Ranges()
+	ranges := htm.CoverCap(bound, htm.LevelForRadius(bound.Radius), m.Level).Ranges()
 	var out []registry.Shard
 	for _, sh := range m.Shards {
 		for _, r := range ranges {

@@ -226,6 +226,7 @@ func (n *Node) newSeedRunner(p *plan.Plan, table *storage.Table, step plan.Step,
 	}
 	schema := table.Schema()
 	schemaLen := len(schema)
+	cols := stepColumns(schema, step)
 	bs := eval.BatchSize()
 	refs := localProg.Refs()
 	// Workers draw whole batches; the free-list hands each worker its own
@@ -280,9 +281,9 @@ func (n *Node) newSeedRunner(p *plan.Plan, table *storage.Table, step plan.Step,
 			group := make([][]value.Value, 0, len(sel))
 			for _, i := range sel {
 				acc := xmatch.Accumulator{}.Add(candPos[lo+i], step.SigmaArcsec)
-				cells := xmatch.AccToCells(acc)
-				cells = append(cells, n.columnCells(table, step, chunk[i])...)
-				group = append(group, cells)
+				cells := make([]value.Value, 0, xmatch.NumAccCols+len(cols))
+				cells = append(cells, xmatch.AccToCells(acc)...)
+				group = append(group, appendColumnCells(cells, table, cols, chunk[i]))
 			}
 			return group, nil
 		})
@@ -315,6 +316,7 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 	// before any tuple is touched.
 	npc := len(priorCols)
 	schema := table.Schema()
+	cols := stepColumns(schema, step)
 	width := npc + len(schema)
 	tl := table.Layout(step.Alias)
 	localProg, err := eval.CompileTyped(localWhere, offsetLayout(tl, npc))
@@ -488,10 +490,10 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 					}
 				}
 				for _, i := range gate {
-					cells := xmatch.AccToCells(sc.accs[i])
+					cells := make([]value.Value, 0, len(row)+len(cols))
+					cells = append(cells, xmatch.AccToCells(sc.accs[i])...)
 					cells = append(cells, row[xmatch.NumAccCols:]...)
-					cells = append(cells, n.columnCells(table, step, cand[i])...)
-					ext = append(ext, cells)
+					ext = append(ext, appendColumnCells(cells, table, cols, cand[i]))
 				}
 				return true
 			}
@@ -703,21 +705,28 @@ func (n *Node) tupleColumns(incomingCols []dataset.Column, table *storage.Table,
 	return cols
 }
 
-// columnCells extracts this step's contributed column values for a row of
-// the primary table. Unknown columns yield NULL (they would have failed
-// validation at the Portal already).
-func (n *Node) columnCells(table *storage.Table, step plan.Step, row int) []value.Value {
-	schema := table.Schema()
-	out := make([]value.Value, 0, len(step.Columns))
-	for _, c := range step.Columns {
-		ci := schema.Index(c)
+// stepColumns resolves this step's contributed columns to schema
+// positions, once per step; -1 marks a column the table lacks.
+func stepColumns(schema storage.Schema, step plan.Step) []int {
+	cols := make([]int, len(step.Columns))
+	for i, c := range step.Columns {
+		cols[i] = schema.Index(c)
+	}
+	return cols
+}
+
+// appendColumnCells appends this step's contributed column values (cols,
+// from stepColumns) for a row of the primary table. Unknown columns yield
+// NULL (they would have failed validation at the Portal already).
+func appendColumnCells(dst []value.Value, table *storage.Table, cols []int, row int) []value.Value {
+	for _, ci := range cols {
 		if ci < 0 {
-			out = append(out, value.Null)
+			dst = append(dst, value.Null)
 			continue
 		}
-		// Unlocked read: columnCells runs inside the chain step's
-		// read-only phase (often under a Search* callback).
-		out = append(out, table.ValueUnlocked(row, ci))
+		// Unlocked read: this runs inside the chain step's read-only
+		// phase (often under a Search* callback).
+		dst = append(dst, table.ValueUnlocked(row, ci))
 	}
-	return out
+	return dst
 }

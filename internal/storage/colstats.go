@@ -95,11 +95,7 @@ func (t *Table) CountRegionCandidates(reg sphere.Region) (int, error) {
 		s.rebuildMu.Unlock()
 	}
 	c := reg.Bounding()
-	sub := htm.LevelForRadius(c.Radius)
-	if sub > s.cfg.Level {
-		sub = s.cfg.Level
-	}
-	cov := htm.CoverCap(c, sub, s.cfg.Level)
+	cov := htm.CoverCap(c, htm.LevelForRadius(c.Radius), s.cfg.Level)
 
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -642,12 +642,9 @@ func (t *Table) searchCap(c sphere.Cap, needPos bool, prune func(row int) bool, 
 		s.rebuildMu.Unlock()
 	}
 
-	// Size the cover subdivision to the cap and clamp it to the leaf level.
-	sub := htm.LevelForRadius(c.Radius)
-	if sub > s.cfg.Level {
-		sub = s.cfg.Level
-	}
-	cov := htm.CoverCap(c, sub, s.cfg.Level)
+	// Size the cover subdivision to the cap; CoverCap clamps it to the
+	// leaf level.
+	cov := htm.CoverCap(c, htm.LevelForRadius(c.Radius), s.cfg.Level)
 
 	t.mu.RLock()
 	defer t.mu.RUnlock()

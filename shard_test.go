@@ -181,11 +181,7 @@ func TestShardScatterPrunes(t *testing.T) {
 	// compute which shards are allowed to see traffic.
 	const query = `SELECT COUNT(*) FROM SDSS:PhotoObject O WHERE AREA(185.0, -0.5, 60)`
 	cap := NewCap(185.0, -0.5, 60.0/3600.0)
-	sub := htm.LevelForRadius(cap.Radius)
-	if sub > m.Level {
-		sub = m.Level
-	}
-	ranges := htm.CoverCap(cap, sub, m.Level).Ranges()
+	ranges := htm.CoverCap(cap, htm.LevelForRadius(cap.Radius), m.Level).Ranges()
 	allowed := map[int]bool{}
 	for _, sh := range m.Shards {
 		for _, r := range ranges {
