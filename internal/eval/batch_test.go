@@ -3,25 +3,11 @@ package eval
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"skyquery/internal/sqlparse"
 	"skyquery/internal/value"
 )
-
-// batchFromRows transposes row-major test rows into a column-major batch.
-func batchFromRows(width, capacity int, rows [][]value.Value) *Batch {
-	b := NewBatch(width, capacity)
-	for s := 0; s < width; s++ {
-		col := b.Col(s)
-		for i, row := range rows {
-			col[i] = row[s]
-		}
-	}
-	b.SetLen(len(rows))
-	return b
-}
 
 // scalarRowResults evaluates the scalar program row by row, returning the
 // per-row values and the first erroring row (-1 if none) — the reference
@@ -39,260 +25,85 @@ func scalarRowResults(prog *Program, rows [][]value.Value) (vals []value.Value, 
 }
 
 // threeWayCompare asserts the interpreter, the scalar program and the
-// batch program agree on every row: identical values (and types), and —
-// between scalar and batch — the identical first erroring row. It
-// exercises the batch program both as one full batch and split into
-// chunks of every size from 1 up, to shake out batch-boundary bugs.
-// The typed engine is held to the same contract via typedCompare, making
-// this a four-way differential check.
+// typed batch program agree on every row: identical values (and types),
+// and — between scalar and typed — the identical first erroring row and
+// Refs. typedCompare exercises the batch program both as one full batch
+// and split into chunks of every size from 1 up, to shake out
+// batch-boundary bugs.
 func threeWayCompare(t *testing.T, src string, layout MapLayout, rows [][]value.Value) {
 	t.Helper()
 	e, err := sqlparse.ParseExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	width := 0
-	for _, s := range layout {
-		if s+1 > width {
-			width = s + 1
-		}
-	}
-
-	prog, serr := Compile(e, layout)
-	bprog, berr := CompileBatch(e, layout)
-	if (serr != nil) != (berr != nil) {
-		t.Fatalf("%q: scalar compile err=%v, batch compile err=%v", src, serr, berr)
-	}
-	if serr != nil {
-		// Both compilers reject; the scalar-vs-interpreter contract for
-		// this case is already covered by compileAndCompare.
-		return
-	}
-	if !reflect.DeepEqual(prog.Refs(), bprog.Refs()) {
-		t.Errorf("%q: scalar refs %v, batch refs %v", src, prog.Refs(), bprog.Refs())
-	}
-
-	// Interpreter vs scalar (the established contract), and the scalar
-	// reference row results.
 	compileAndCompare(t, src, layout, rows)
-	want, wantErrRow, wantErr := scalarRowResults(prog, rows)
-
-	// Fourth engine: typed vectors against the same reference.
+	var want []value.Value
+	wantErrRow, wantErr := -1, error(nil)
+	if prog, err := Compile(e, layout); err == nil {
+		want, wantErrRow, wantErr = scalarRowResults(prog, rows)
+	}
+	// typedCompare checks compile-error parity itself and stops there when
+	// the scalar compiler rejects the expression.
 	typedCompare(t, src, layout, rows, want, wantErrRow, wantErr)
-
-	for chunk := 1; chunk <= len(rows); chunk++ {
-		ev := bprog.NewEval(chunk)
-		for off := 0; off < len(rows); off += chunk {
-			end := off + chunk
-			if end > len(rows) {
-				end = len(rows)
-			}
-			b := batchFromRows(width, chunk, rows[off:end])
-			got, errRow, err := bprog.EvalVec(ev, b, ev.Seq(b.Len()))
-
-			// The expected first error within this chunk.
-			expErrRow := -1
-			if wantErrRow >= off && wantErrRow < end {
-				expErrRow = wantErrRow - off
-			}
-			if (err != nil) != (expErrRow >= 0) || errRow != expErrRow {
-				t.Fatalf("%q chunk=%d off=%d: batch errRow=%d err=%v, scalar first error row %d (%v)",
-					src, chunk, off, errRow, err, wantErrRow, wantErr)
-			}
-			limit := end - off
-			if expErrRow >= 0 {
-				limit = expErrRow
-			}
-			for i := 0; i < limit; i++ {
-				w := want[off+i]
-				if !value.Equal(w, got[i]) || w.Type() != got[i].Type() {
-					t.Fatalf("%q chunk=%d row %d: scalar=%v (%v), batch=%v (%v)",
-						src, chunk, off+i, w, w.Type(), got[i], got[i].Type())
-				}
-			}
-			if wantErrRow >= 0 && wantErrRow < end {
-				break // the scalar scan would have stopped here
-			}
-		}
-	}
-
-	// Filter agreement on the full batch: the passing set must equal the
-	// rows whose scalar result is TRUE (both stop at the first error).
-	ev := bprog.NewEval(len(rows))
-	b := batchFromRows(width, len(rows), rows)
-	sel, errRow, err := bprog.Filter(ev, b, ev.Seq(len(rows)))
-	if (err != nil) != (wantErrRow >= 0) || errRow != wantErrRow {
-		t.Fatalf("%q: Filter errRow=%d err=%v, want row %d (%v)", src, errRow, err, wantErrRow, wantErr)
-	}
-	var wantSel []int
-	for i := range rows {
-		if wantErrRow >= 0 && i >= wantErrRow {
-			break
-		}
-		if want[i].IsTrue() {
-			wantSel = append(wantSel, i)
-		}
-	}
-	if !reflect.DeepEqual(append([]int{}, sel...), append([]int{}, wantSel...)) {
-		t.Errorf("%q: Filter sel=%v, want %v", src, sel, wantSel)
-	}
 }
 
+// differentialExprs is the shared differential expression list: literals
+// and constant folding, three-valued logic, every kernel family and its
+// boxed fallback, error-bearing rows, and the right-nested AND/OR
+// regressions.
+var differentialExprs = []string{
+	// Literals, arithmetic, typing.
+	"1 + 2", "7 / 2", "7 % 3", "2 * 3 + 1", "-5", "- (2.5)", "1.5e2",
+	"'a' + 'b'", "TRUE", "NULL", "NULL + 1",
+	// Comparisons and three-valued logic.
+	"2 = 2", "2 <> 3", "2 < 3", "3 <= 3", "2 > 3", "2 >= 3", "2 = NULL",
+	"TRUE AND FALSE", "TRUE OR FALSE", "FALSE AND NULL", "TRUE OR NULL",
+	"TRUE AND NULL", "FALSE OR NULL", "NOT TRUE", "NOT NULL",
+	// Column-driven vectorized forms.
+	"O.type = 'GALAXY'",
+	"(O.i_flux - T.i_flux) > 2",
+	"O.type = 'GALAXY' AND (O.i_flux - T.i_flux) > 2",
+	"O.type = 'GALAXY' OR n > 3",
+	"x + n", "x * n", "x % n", "x / n", "-x", "x - n",
+	"ABS(O.dec) < 30.0", "ABS(x)",
+	"O.dec BETWEEN -30 AND 30",
+	"n BETWEEN x AND 10",
+	"O.type IN ('GALAXY', 'QSO')",
+	"n IN (1, 7, NULL)", "n IN (x, 0)",
+	"O.type IS NULL", "O.type IS NOT NULL", "x IS NULL",
+	"O.type LIKE 'GAL%'", "name LIKE 'NGC%'", "name LIKE name", "n LIKE 'x'",
+	"COALESCE(O.type, name, 'none')",
+	"UPPER(name)", "LOWER(O.type)", "LEN(name)", "POWER(2, n)",
+	"NOT (O.type = 'GALAXY' OR n > 3)",
+	"x = 1 OR x = 2 OR n IS NULL",
+	"(O.i_flux + T.i_flux) / 2 >= T.i_flux",
+	// Error-bearing rows: mixed-type comparisons and arithmetic, bad
+	// operands partway down the batch.
+	"x > 0", "x + 1 > n", "name > 2", "x = name",
+	"n / (n - n)", "x % (n - n)",
+	"-name", "ABS(name) > 0",
+	// Constant folding interplay, including constant errors that must
+	// fire at evaluation time on the first selected row.
+	"1 / 0", "1 % 0", "x > 0 AND 1 / 0 = 1", "FALSE AND 1 / 0 = 1",
+	"TRUE OR 1 / 0 = 1", "1 = 1 AND O.type = 'GALAXY'",
+	// Right-nested AND/OR with non-bool and NULL operands: value.And
+	// is not associative there, so flattening the right side would
+	// re-associate and diverge (regression: the batch compiler must
+	// keep a nested right AND as a single member).
+	"x AND (n AND x)", "x AND ((n > 0) AND NULL)",
+	"n AND (x IS NULL AND NULL)", "(x AND n) AND x",
+	"x AND (x > 0 AND n / (n - n) > 0)",
+	"x OR (n OR NULL)", "x OR ((n > 0) OR NULL)", "(x OR n) OR NULL",
+	"x OR (x > 0 OR n / (n - n) > 0)",
+}
+
+// TestBatchMatchesScalarAndInterpreter holds the typed batch engine to the
+// interpreter and the scalar compiler over differentialExprs on stdRows'
+// mixed-type columns.
 func TestBatchMatchesScalarAndInterpreter(t *testing.T) {
-	exprs := []string{
-		// Literals, arithmetic, typing.
-		"1 + 2", "7 / 2", "7 % 3", "2 * 3 + 1", "-5", "- (2.5)", "1.5e2",
-		"'a' + 'b'", "TRUE", "NULL", "NULL + 1",
-		// Comparisons and three-valued logic.
-		"2 = 2", "2 <> 3", "2 < 3", "3 <= 3", "2 > 3", "2 >= 3", "2 = NULL",
-		"TRUE AND FALSE", "TRUE OR FALSE", "FALSE AND NULL", "TRUE OR NULL",
-		"TRUE AND NULL", "FALSE OR NULL", "NOT TRUE", "NOT NULL",
-		// Column-driven vectorized forms.
-		"O.type = 'GALAXY'",
-		"(O.i_flux - T.i_flux) > 2",
-		"O.type = 'GALAXY' AND (O.i_flux - T.i_flux) > 2",
-		"O.type = 'GALAXY' OR n > 3",
-		"x + n", "x * n", "x % n", "x / n", "-x", "x - n",
-		"ABS(O.dec) < 30.0", "ABS(x)",
-		"O.dec BETWEEN -30 AND 30",
-		"n BETWEEN x AND 10",
-		"O.type IN ('GALAXY', 'QSO')",
-		"n IN (1, 7, NULL)", "n IN (x, 0)",
-		"O.type IS NULL", "O.type IS NOT NULL", "x IS NULL",
-		"O.type LIKE 'GAL%'", "name LIKE 'NGC%'", "name LIKE name", "n LIKE 'x'",
-		"COALESCE(O.type, name, 'none')",
-		"UPPER(name)", "LOWER(O.type)", "LEN(name)", "POWER(2, n)",
-		"NOT (O.type = 'GALAXY' OR n > 3)",
-		"x = 1 OR x = 2 OR n IS NULL",
-		"(O.i_flux + T.i_flux) / 2 >= T.i_flux",
-		// Error-bearing rows: mixed-type comparisons and arithmetic, bad
-		// operands partway down the batch.
-		"x > 0", "x + 1 > n", "name > 2", "x = name",
-		"n / (n - n)", "x % (n - n)",
-		"-name", "ABS(name) > 0",
-		// Constant folding interplay, including constant errors that must
-		// fire at evaluation time on the first selected row.
-		"1 / 0", "1 % 0", "x > 0 AND 1 / 0 = 1", "FALSE AND 1 / 0 = 1",
-		"TRUE OR 1 / 0 = 1", "1 = 1 AND O.type = 'GALAXY'",
-		// Right-nested AND/OR with non-bool and NULL operands: value.And
-		// is not associative there, so flattening the right side would
-		// re-associate and diverge (regression: the batch compiler must
-		// keep a nested right AND as a single member).
-		"x AND (n AND x)", "x AND ((n > 0) AND NULL)",
-		"n AND (x IS NULL AND NULL)", "(x AND n) AND x",
-		"x AND (x > 0 AND n / (n - n) > 0)",
-		"x OR (n OR NULL)", "x OR ((n > 0) OR NULL)", "(x OR n) OR NULL",
-		"x OR (x > 0 OR n / (n - n) > 0)",
-	}
 	rows := stdRows()
-	for _, src := range exprs {
+	for _, src := range differentialExprs {
 		threeWayCompare(t, src, stdLayout, rows)
-	}
-}
-
-func TestBatchCompileReportsBindingErrors(t *testing.T) {
-	cases := []string{
-		"nosuch = 1",
-		"Q.nosuch = 1",
-		"NOSUCHFN(1)",
-		"ABS(1, 2)",
-		"POWER(1)",
-		"FALSE AND nosuch = 1", // dead side still binding-checked
-		"TRUE OR nosuch = 1",
-	}
-	for _, src := range cases {
-		e, err := sqlparse.ParseExpr(src)
-		if err != nil {
-			t.Fatalf("parse %q: %v", src, err)
-		}
-		if _, err := CompileBatch(e, stdLayout); err == nil {
-			t.Errorf("CompileBatch(%q) succeeded, want error", src)
-		}
-	}
-}
-
-func TestBatchConstantFolding(t *testing.T) {
-	e, err := sqlparse.ParseExpr("1 + 2 * 3 = 7 AND 2 < 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := CompileBatch(e, stdLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Refs()) != 0 {
-		t.Errorf("constant program references slots %v", p.Refs())
-	}
-	ev := p.NewEval(4)
-	b := NewBatch(7, 4)
-	b.SetLen(3)
-	sel, errRow, ferr := p.Filter(ev, b, ev.Seq(3))
-	if ferr != nil || errRow != -1 || len(sel) != 3 {
-		t.Errorf("constant TRUE filter = %v, %d, %v", sel, errRow, ferr)
-	}
-
-	// A constant error fires at the first *selected* row, and not at all
-	// over an empty selection (a zero-row scan must stay silent).
-	e, err = sqlparse.ParseExpr("1 / 0 = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err = CompileBatch(e, stdLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev = p.NewEval(4)
-	if _, errRow, ferr := p.Filter(ev, b, ev.Seq(3)); ferr == nil || errRow != 0 {
-		t.Errorf("constant error filter: errRow=%d err=%v", errRow, ferr)
-	}
-	if _, errRow, ferr := p.Filter(ev, b, ev.Seq(0)); ferr != nil || errRow != -1 {
-		t.Errorf("constant error over empty selection: errRow=%d err=%v", errRow, ferr)
-	}
-}
-
-func TestNilBatchProgram(t *testing.T) {
-	p, err := CompileBatch(nil, stdLayout)
-	if err != nil {
-		t.Fatalf("CompileBatch(nil) = %v", err)
-	}
-	if p != nil {
-		t.Fatal("CompileBatch(nil) returned a program")
-	}
-	if p.Refs() != nil {
-		t.Error("nil program has refs")
-	}
-	ev := p.NewEval(8)
-	b := NewBatch(2, 8)
-	b.SetLen(5)
-	sel, errRow, ferr := p.Filter(ev, b, ev.Seq(5))
-	if ferr != nil || errRow != -1 || len(sel) != 5 {
-		t.Errorf("nil program Filter = %v, %d, %v; want identity", sel, errRow, ferr)
-	}
-	if _, _, err := p.EvalVec(ev, b, ev.Seq(5)); err == nil {
-		t.Error("nil program EvalVec should error")
-	}
-}
-
-func TestBatchUnfilledSlot(t *testing.T) {
-	e, err := sqlparse.ParseExpr("x = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := CompileBatch(e, stdLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := p.NewEval(4)
-	b := NewBatch(7, 4) // slot 6 ("x") never filled
-	b.SetLen(2)
-	if _, errRow, ferr := p.Filter(ev, b, ev.Seq(2)); ferr == nil || errRow != -1 {
-		t.Errorf("unfilled slot: errRow=%d err=%v; want structural error with errRow -1", errRow, ferr)
-	}
-	// Too narrow a batch is rejected the same way.
-	narrow := NewBatch(3, 4)
-	narrow.SetLen(2)
-	if _, _, ferr := p.Filter(ev, narrow, ev.Seq(2)); ferr == nil {
-		t.Error("narrow batch accepted")
 	}
 }
 
@@ -309,35 +120,13 @@ func TestBatchSizeKnob(t *testing.T) {
 	}
 }
 
-func TestBatchFilterSteadyStateAllocs(t *testing.T) {
-	e, err := sqlparse.ParseExpr(benchExpr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := CompileBatch(e, stdLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := benchScanRows(1024)
-	b := batchFromRows(7, 1024, rows)
-	ev := p.NewEval(1024)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := p.Filter(ev, b, ev.Seq(b.Len())); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Filter allocates %.1f per batch in steady state, want 0", allocs)
-	}
-}
-
-// FuzzBatchDifferential is the four-way differential fuzzer: on every
+// FuzzBatchDifferential is the three-way differential fuzzer: on every
 // parseable expression and random row set, the interpreter, the scalar
-// program, the boxed batch program and the typed batch program must agree
-// on values, and the compiled engines must fail on the identical first
-// row. Rows come from two generators: the historical per-cell-random one
-// (mixed-type columns, driving the typed engine's boxed fallbacks) and a
-// NULL-heavy one with a stable type per column (driving the native int64/
+// program and the typed batch program must agree on values, and the
+// compiled engines must fail on the identical first row (and compile the
+// identical Refs). Rows come from two generators: the historical
+// per-cell-random one (mixed-type columns, driving the typed engine's
+// boxed fallbacks) and a NULL-heavy one with a stable type per column (driving the native int64/
 // float64/string/bool kernels, including the 2^53 float-widening edge).
 // Seeds reuse the FuzzParseExpr corpus, like FuzzCompileDifferential.
 func FuzzBatchDifferential(f *testing.F) {
@@ -381,20 +170,20 @@ func FuzzBatchDifferential(f *testing.F) {
 			layout[key] = i
 		}
 		prog, serr := Compile(e, layout)
-		bprog, berr := CompileBatch(e, layout)
-		if (serr != nil) != (berr != nil) {
-			t.Fatalf("%q: scalar compile err=%v, batch compile err=%v", src, serr, berr)
+		tprog, terr := CompileTyped(e, layout)
+		if (serr != nil) != (terr != nil) {
+			t.Fatalf("%q: scalar compile err=%v, typed compile err=%v", src, serr, terr)
 		}
 		if serr != nil {
 			return
 		}
-		sref, bref := prog.Refs(), bprog.Refs()
-		if len(sref) != len(bref) {
-			t.Fatalf("%q: scalar refs %v, batch refs %v", src, sref, bref)
+		sref, tref := prog.Refs(), tprog.Refs()
+		if len(sref) != len(tref) {
+			t.Fatalf("%q: scalar refs %v, typed refs %v", src, sref, tref)
 		}
 		for i := range sref {
-			if sref[i] != bref[i] {
-				t.Fatalf("%q: scalar refs %v, batch refs %v", src, sref, bref)
+			if sref[i] != tref[i] {
+				t.Fatalf("%q: scalar refs %v, typed refs %v", src, sref, tref)
 			}
 		}
 
@@ -413,41 +202,6 @@ func FuzzBatchDifferential(f *testing.F) {
 				}
 				if ierr == nil && (!value.Equal(iv, want[r]) || iv.Type() != want[r].Type()) {
 					t.Fatalf("%q row %d: interpreter=%v (%v), scalar=%v (%v)", src, r, iv, iv.Type(), want[r], want[r].Type())
-				}
-			}
-			// Boxed batch vs scalar, as one full batch and as single-row
-			// batches.
-			for _, chunk := range []int{nRows, 1} {
-				ev := bprog.NewEval(chunk)
-				for off := 0; off < nRows; off += chunk {
-					end := off + chunk
-					if end > nRows {
-						end = nRows
-					}
-					b := batchFromRows(len(cols), chunk, rows[off:end])
-					got, errRow, err := bprog.EvalVec(ev, b, ev.Seq(b.Len()))
-					expErrRow := -1
-					if wantErrRow >= off && wantErrRow < end {
-						expErrRow = wantErrRow - off
-					}
-					if (err != nil) != (expErrRow >= 0) || errRow != expErrRow {
-						t.Fatalf("%q chunk=%d off=%d: batch errRow=%d err=%v, scalar first error row %d",
-							src, chunk, off, errRow, err, wantErrRow)
-					}
-					limit := end - off
-					if expErrRow >= 0 {
-						limit = expErrRow
-					}
-					for i := 0; i < limit; i++ {
-						w := want[off+i]
-						if !value.Equal(w, got[i]) || w.Type() != got[i].Type() {
-							t.Fatalf("%q chunk=%d row %d: scalar=%v (%v), batch=%v (%v)",
-								src, chunk, off+i, w, w.Type(), got[i], got[i].Type())
-						}
-					}
-					if expErrRow >= 0 {
-						break
-					}
 				}
 			}
 			// Typed batch vs the same reference (all chunkings + Filter).
@@ -490,8 +244,8 @@ func benchScanRows(n int) [][]value.Value {
 
 // BenchmarkCompiledExprScan is the row-at-a-time engine over a 10k-row
 // selective scan: one EvalBool per row through the closure tree. This is
-// the baseline BenchmarkBatchExpr is measured against (same rows, same
-// predicate, same per-op work).
+// the baseline BenchmarkTypedBatchExpr is measured against (same rows,
+// same predicate, same per-op work).
 func BenchmarkCompiledExprScan(b *testing.B) {
 	e, err := sqlparse.ParseExpr(benchExpr)
 	if err != nil {
@@ -524,58 +278,6 @@ func BenchmarkCompiledExprScan(b *testing.B) {
 			if ok {
 				got++
 			}
-		}
-		if got != want {
-			b.Fatalf("got %d, want %d", got, want)
-		}
-	}
-}
-
-// BenchmarkBatchExpr is the vectorized engine over the same 10k-row
-// selective scan, in batches of 1024 with a reused evaluator: typed
-// kernels over column slices, shrinking selection vectors through the
-// conjunction, 0 allocs per batch in steady state.
-func BenchmarkBatchExpr(b *testing.B) {
-	e, err := sqlparse.ParseExpr(benchExpr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := CompileBatch(e, stdLayout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := benchScanRows(10000)
-	const batchCap = 1024
-	var batches []*Batch
-	for off := 0; off < len(rows); off += batchCap {
-		end := off + batchCap
-		if end > len(rows) {
-			end = len(rows)
-		}
-		batches = append(batches, batchFromRows(7, batchCap, rows[off:end]))
-	}
-	ev := prog.NewEval(batchCap)
-	want := 0
-	for _, bt := range batches {
-		sel, _, err := prog.Filter(ev, bt, ev.Seq(bt.Len()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		want += len(sel)
-	}
-	if want == 0 || want > len(rows)/5 {
-		b.Fatalf("scan not selective: %d of %d rows pass", want, len(rows))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got := 0
-		for _, bt := range batches {
-			sel, _, err := prog.Filter(ev, bt, ev.Seq(bt.Len()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			got += len(sel)
 		}
 		if got != want {
 			b.Fatalf("got %d, want %d", got, want)

@@ -1,6 +1,6 @@
 package eval
 
-// The CI perf-regression gate: re-measure the four expression engines on
+// The CI perf-regression gate: re-measure the three expression engines on
 // the canonical 10k-row selective scan and fail when any engine's ns/row
 // regresses more than the threshold against the checked-in trajectory
 // (BENCH_scan.json at the repository root). CI runs it in the bench job:
@@ -8,9 +8,8 @@ package eval
 //	go test ./internal/eval/ -run TestPerfRegressionGate -perf-gate-baseline "$(pwd)/BENCH_scan.json" -v
 //
 // The comparison is a direct ratio of ns/row medians as testing.Benchmark
-// reports them (benchstat's display comparison runs alongside in CI for
-// the human-readable report; the gate itself has no external dependency,
-// so it cannot be skipped by a failed tool install).
+// reports them. The gate has no external dependency, so it cannot be
+// skipped by a failed tool install.
 //
 // Override knob for noisy runners: PERF_GATE_MAX_REGRESS_PCT sets the
 // allowed regression in percent (default 15). Raising it — or setting it

@@ -1,17 +1,30 @@
 package eval
 
-// This file is the fourth and fastest engine of the expression stack:
-// CompileTyped compiles an expression into a program evaluated over typed
-// column vectors (vector.go) — []int64 / []float64 / []string / []bool
-// payloads with a null mask — instead of the boxed []value.Value columns
-// the PR-3 batch engine (batch.go) reads. The execution model (selection
-// vectors, flattened AND/OR spines over a shrinking live set, batches of
-// BatchSize rows) and the error contract (evaluation stops at the first
-// selected row whose scalar evaluation would error; errRow reports it) are
-// identical to the boxed engine, which stays alongside the interpreter and
-// the compiled scalar engine as cross-validation references: the four-way
-// differential tests and FuzzBatchDifferential hold all four to agreement
-// on values and on the first erroring row.
+// This file is the batch engine of the expression stack, and the only one
+// production scan sites run: CompileTyped compiles an expression into a
+// program evaluated over typed column vectors (vector.go) — []int64 /
+// []float64 / []string / []bool payloads with a null mask — in batches of
+// BatchSize rows.
+//
+// The execution model:
+//
+//   - A TBatch holds up to Cap() rows in column-major order. Callers fill
+//     only the slots in Refs() and SetLen to the row count.
+//   - A selection vector is a strictly increasing []int of batch positions.
+//     Filter reduces it to the rows where the predicate is TRUE. AND/OR
+//     spines are flattened into n-ary nodes that carry one truth-state
+//     accumulator and a shrinking "live" selection: each member is
+//     evaluated only at the rows still undecided after the previous ones —
+//     exactly the rows the scalar engine's short-circuit would have reached
+//     it on — and decided rows are never rewritten.
+//   - Evaluation stops at the first selected row whose scalar evaluation
+//     would error, and that row is reported alongside the error (errRow);
+//     see TypedProgram.Filter for the full contract.
+//
+// The interpreter (Eval) and the compiled scalar engine (Compile) are the
+// references this engine is held to: the differential tests and
+// FuzzBatchDifferential check all three for agreement on values and on the
+// first erroring row.
 //
 // Kernels dispatch per *batch* on the operand vectors' kinds, so the per-
 // row loops run over raw native slices: comparisons inline the int64/
@@ -138,12 +151,12 @@ func (n *texpr) eval(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) 
 	}
 }
 
-// evalNary evaluates a flattened AND (isAnd) or OR spine exactly like the
-// boxed engine's evalAnd/evalOr: the accumulator starts as the first
-// member's truth state, later members run only at still-undecided rows —
-// AND: not strictly FALSE; OR: not TRUE — and a member's failure truncates
-// the live set to the rows before it while evaluation continues, so the
-// reported error is the lowest row's, as the sequential scan surfaces it.
+// evalNary evaluates a flattened AND (isAnd) or OR spine: the accumulator
+// starts as the first member's truth state, later members run only at
+// still-undecided rows — AND: not strictly FALSE; OR: not TRUE — and a
+// member's failure truncates the live set to the rows before it while
+// evaluation continues, so the reported error is the lowest row's, as the
+// sequential scan surfaces it.
 func (n *texpr) evalNary(ev *TypedEval, b *TBatch, sel []int, members []texpr, isAnd bool) (*Vector, int, error) {
 	st := ev.states[n.state]
 	live := ev.sels[n.live][:0]
@@ -201,8 +214,8 @@ func (n *texpr) evalNary(ev *TypedEval, b *TBatch, sel []int, members []texpr, i
 	return out, errRow, err
 }
 
-// TypedProgram is a compiled typed batch expression. Like BatchProgram it
-// is immutable and safe for concurrent use; all mutable evaluation state
+// TypedProgram is a compiled typed batch expression. Like Program it is
+// immutable and safe for concurrent use; all mutable evaluation state
 // lives in a TypedEval.
 type TypedProgram struct {
 	root   texpr
@@ -308,8 +321,7 @@ func (ev *TypedEval) nullsOf(v *Vector) []bool {
 
 // CompileTyped compiles the expression into a typed batch program against
 // the layout. A nil expression compiles to a nil program, whose Filter
-// passes every row. Binding errors surface here, exactly as with Compile
-// and CompileBatch.
+// passes every row. Binding errors surface here, exactly as with Compile.
 func CompileTyped(e sqlparse.Expr, layout Layout) (*TypedProgram, error) {
 	if e == nil {
 		return nil, nil
@@ -365,9 +377,21 @@ func truthAt(v *Vector, r int) bool {
 }
 
 // Filter evaluates the program as a predicate over the selected rows and
-// returns the rows where it is TRUE, with the boxed engine's exact error
-// contract (see BatchProgram.Filter). The returned selection is owned by
-// ev and valid until its next use.
+// returns the rows where it is TRUE (NULL counts as false, as in a WHERE
+// clause). The returned selection is owned by ev and valid until its next
+// use. A nil program passes the selection through unchanged.
+//
+// On error, errRow is the first selected row whose evaluation failed and
+// the returned selection holds the passing rows before it — enough for
+// TOP-style callers to decide whether a row-at-a-time scan would have
+// stopped before the failure (and suppress the error exactly when it
+// would have). errRow is -1 when err is nil, or when the batch itself was
+// malformed (an unfilled referenced slot), which is never suppressible.
+// When several rows would error on different subexpressions, the reported
+// error is the lowest row's, like the sequential scan; pipelines of
+// several programs (a local predicate, then cross predicates) may surface
+// a different member's error than the interleaved scalar loop did, but
+// never differ on error presence.
 func (p *TypedProgram) Filter(ev *TypedEval, b *TBatch, sel []int) (passed []int, errRow int, err error) {
 	if p == nil {
 		return sel, -1, nil
@@ -418,6 +442,21 @@ type typedCompiler struct {
 	consts []constFill
 }
 
+// constFill records a constant vector to broadcast when a TypedEval is
+// created, so constant subtrees cost nothing per batch.
+type constFill struct {
+	vec int
+	v   value.Value
+}
+
+// constVal is the folded outcome of a row-independent subtree: a value, or
+// an error that must keep surfacing at evaluation time (first selected
+// row), never at compile time — mirroring the scalar compiler's fold.
+type constVal struct {
+	v   value.Value
+	err error
+}
+
 func (c *typedCompiler) newVec() int   { id := c.nVec; c.nVec++; return id }
 func (c *typedCompiler) newSel() int   { id := c.nSel; c.nSel++; return id }
 func (c *typedCompiler) newState() int { id := c.nState; c.nState++; return id }
@@ -455,7 +494,7 @@ func (c *typedCompiler) foldConst(e sqlparse.Expr) (*texpr, *constVal, error) {
 
 // scalarTail compiles the subtree with the scalar compiler and evaluates
 // it per selected row over a gathered (boxed) scratch row: the long-tail
-// path reuses the scalar kernels verbatim, exactly like the boxed engine.
+// path reuses the scalar kernels verbatim.
 func (c *typedCompiler) scalarTail(e sqlparse.Expr) (*texpr, *constVal, error) {
 	sub := &compiler{layout: c.layout, refs: map[int]bool{}}
 	n, isConst, err := sub.compile(e)
@@ -663,13 +702,20 @@ func (c *typedCompiler) compileBinary(n *sqlparse.BinaryExpr) (*texpr, *constVal
 
 	switch n.Op {
 	case "AND":
-		// Flatten only the left spine (the right side stays one member):
-		// value.And is not associative for non-bool operands, exactly as in
-		// the boxed engine (see batch.go).
-		members := append(tflattenAnd(l), *r)
+		// Flatten only the left spine: the left fold then reproduces the
+		// scalar engine's nesting exactly. The right side must stay a single
+		// member even when it is itself an AND — value.And is not
+		// associative once non-bool operands mix with NULL (And(5, TRUE) is
+		// FALSE but And(5, NULL) is NULL), so splicing a right-nested AND
+		// would re-associate and diverge from the row engines on both
+		// values and error presence.
+		members := append(flattenAnd(l), *r)
 		return &texpr{and: members, vec: c.newVec(), state: c.newState(), live: c.newSel()}, nil, nil
 	case "OR":
-		members := append(tflattenOr(l), tflattenOr(r)...)
+		// OR may flatten both sides: value.Or treats every non-TRUE,
+		// non-NULL operand uniformly as FALSE, so it is associative over
+		// the full value domain.
+		members := append(flattenOr(l), flattenOr(r)...)
 		return &texpr{or: members, vec: c.newVec(), state: c.newState(), live: c.newSel()}, nil, nil
 	case "+", "-", "*", "/", "%":
 		return c.arithNode(l, r, n.Op), nil, nil
@@ -681,24 +727,24 @@ func (c *typedCompiler) compileBinary(n *sqlparse.BinaryExpr) (*texpr, *constVal
 	return nil, nil, fmt.Errorf("eval: unknown operator %q", n.Op)
 }
 
-func tflattenAnd(n *texpr) []texpr {
+func flattenAnd(n *texpr) []texpr {
 	if n.and != nil {
 		return n.and
 	}
 	return []texpr{*n}
 }
 
-func tflattenOr(n *texpr) []texpr {
+func flattenOr(n *texpr) []texpr {
 	if n.or != nil {
 		return n.or
 	}
 	return []texpr{*n}
 }
 
-// tbinOperands evaluates a binary node's operands with the scalar engine's
+// binOperands evaluates a binary node's operands with the scalar engine's
 // per-row order: the right side runs only at rows where the left side
 // succeeded, and the reported failure is the one from the lowest row.
-func tbinOperands(ev *TypedEval, b *TBatch, sel []int, l, r *texpr) (lo, ro *Vector, bounded []int, errRow int, err error) {
+func binOperands(ev *TypedEval, b *TBatch, sel []int, l, r *texpr) (lo, ro *Vector, bounded []int, errRow int, err error) {
 	lo, ler, lerr := l.eval(ev, b, sel)
 	selEval := selBefore(sel, ler)
 	ro, rer, rerr := r.eval(ev, b, selEval)
@@ -708,6 +754,43 @@ func tbinOperands(ev *TypedEval, b *TBatch, sel []int, l, r *texpr) (lo, ro *Vec
 		errRow, err = rer, rerr
 	}
 	return lo, ro, selBefore(sel, errRow), errRow, err
+}
+
+// cmpOpKind maps a comparison operator to a loop-invariant discriminator,
+// so the batch loop branches on an integer the predictor locks onto
+// instead of calling a predicate closure per row.
+func cmpOpKind(op string) uint8 {
+	switch op {
+	case "=":
+		return 0
+	case "<>":
+		return 1
+	case "<":
+		return 2
+	case "<=":
+		return 3
+	case ">":
+		return 4
+	default: // ">="
+		return 5
+	}
+}
+
+func cmpKindHolds(kind uint8, c int) bool {
+	switch kind {
+	case 0:
+		return c == 0
+	case 1:
+		return c != 0
+	case 2:
+		return c < 0
+	case 3:
+		return c <= 0
+	case 4:
+		return c > 0
+	default:
+		return c >= 0
+	}
 }
 
 // cmpNode is the typed comparison kernel. The int64/float64 pairs (in all
@@ -720,7 +803,7 @@ func (c *typedCompiler) cmpNode(l, r *texpr, op string) *texpr {
 	kind := cmpOpKind(op)
 	id := c.newVec()
 	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
-		lo, ro, rows, errRow, err := tbinOperands(ev, b, sel, l, r)
+		lo, ro, rows, errRow, err := binOperands(ev, b, sel, l, r)
 		out := &ev.vecs[id]
 		if len(rows) == 0 {
 			return out, errRow, err
@@ -853,7 +936,7 @@ func (c *typedCompiler) cmpNode(l, r *texpr, op string) *texpr {
 func (c *typedCompiler) arithNode(l, r *texpr, op string) *texpr {
 	id := c.newVec()
 	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
-		lo, ro, rows, errRow, err := tbinOperands(ev, b, sel, l, r)
+		lo, ro, rows, errRow, err := binOperands(ev, b, sel, l, r)
 		out := &ev.vecs[id]
 		if len(rows) == 0 {
 			return out, errRow, err
@@ -1003,7 +1086,7 @@ func (c *typedCompiler) likeNode(l, r *texpr, rc *constVal) *texpr {
 	}
 	id := c.newVec()
 	return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
-		lo, ro, rows, errRow, err := tbinOperands(ev, b, sel, l, r)
+		lo, ro, rows, errRow, err := binOperands(ev, b, sel, l, r)
 		out := &ev.vecs[id]
 		cells := out.BoxedBuf(ev.cap)
 		for _, rw := range rows {
@@ -1107,7 +1190,7 @@ func (c *typedCompiler) compileFunc(n *sqlparse.FuncCall) (*texpr, *constVal, er
 		}
 		id := c.newVec()
 		return &texpr{fn: func(ev *TypedEval, b *TBatch, sel []int) (*Vector, int, error) {
-			ao, bo, rows, errRow, err := tbinOperands(ev, b, sel, a, bb)
+			ao, bo, rows, errRow, err := binOperands(ev, b, sel, a, bb)
 			out := &ev.vecs[id]
 			cells := out.BoxedBuf(ev.cap)
 			for _, rw := range rows {

@@ -1,8 +1,8 @@
 package eval
 
-// This file defines the typed column vectors the fourth engine
-// (CompileTyped, typed.go) evaluates over, and the slab pools their
-// payloads are drawn from. A Vector is one batch column: a native payload
+// This file defines the typed column vectors the batch engine
+// (CompileTyped, typed.go) evaluates over, the batch size scan sites
+// gather per evaluation, and the slab pools the payloads are drawn from. A Vector is one batch column: a native payload
 // slice — []int64, []float64, []string or []bool — plus a null mask, or a
 // boxed []value.Value fallback for columns whose cells mix types. The
 // storage engine hands out zero-copy views over its typed column backends
@@ -21,7 +21,9 @@ package eval
 import (
 	"encoding/binary"
 	"math/bits"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"skyquery/internal/value"
@@ -420,7 +422,61 @@ func CompactTrue(dst []int, vals, nulls []bool, n int) []int {
 	return dst
 }
 
-// TBatch is the typed counterpart of Batch: one Vector per row slot.
+// DefaultBatchSize is the number of rows scan sites gather per batch when
+// nothing overrides it. 1024 keeps a batch's working set (a handful of
+// column vectors) inside the cache while amortizing per-batch overhead to
+// noise.
+const DefaultBatchSize = 1024
+
+// batchSize is the process-wide batch size; see BatchSize.
+var batchSize atomic.Int64
+
+func init() { batchSize.Store(DefaultBatchSize) }
+
+// BatchSize returns the row count scan sites use per evaluation batch.
+func BatchSize() int { return int(batchSize.Load()) }
+
+// SetBatchSize overrides the scan batch size (values < 1 select the
+// default). It exists for tests: the golden query corpus runs the full
+// portal at batch sizes {1, 3, 1024} to shake out batch-boundary bugs.
+// Concurrent queries read it atomically, but changing it mid-query only
+// affects batches created afterwards.
+func SetBatchSize(n int) {
+	if n < 1 {
+		n = DefaultBatchSize
+	}
+	batchSize.Store(int64(n))
+}
+
+// selBefore truncates an ascending selection to the rows before errRow
+// (errRow < 0 means no error: the whole selection is live).
+func selBefore(sel []int, errRow int) []int {
+	if errRow < 0 {
+		return sel
+	}
+	i := sort.SearchInts(sel, errRow)
+	return sel[:i]
+}
+
+// UnionRefs merges slot lists (typically several programs' Refs) into one
+// sorted, duplicate-free list: the gather list for callers that fill one
+// batch for a pipeline of programs.
+func UnionRefs(lists ...[]int) []int {
+	seen := map[int]bool{}
+	var out []int
+	for _, refs := range lists {
+		for _, s := range refs {
+			if !seen[s] {
+				seen[s] = true
+				out = append(out, s)
+			}
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TBatch is a column-major batch of rows: one Vector per row slot.
 // Callers fill exactly the columns a program references (Refs) — via
 // zero-copy views, typed gathers, broadcasts or cell transposes — and
 // SetLen to the row count. Reuse it across batches; Release returns all

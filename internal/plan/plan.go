@@ -214,6 +214,9 @@ func (p *Plan) Validate() error {
 	if p.Parallelism < 0 {
 		return fmt.Errorf("plan: parallelism must be non-negative, got %d", p.Parallelism)
 	}
+	if p.ChunkRows < 0 {
+		return fmt.Errorf("plan: chunkRows must be non-negative, got %d", p.ChunkRows)
+	}
 	if _, err := p.Area.Region(); err != nil {
 		return err
 	}

@@ -40,6 +40,8 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"no steps", func(p *Plan) { p.Steps = nil }, "no steps"},
 		{"bad threshold", func(p *Plan) { p.Threshold = 0 }, "threshold"},
+		{"negative parallelism", func(p *Plan) { p.Parallelism = -1 }, "parallelism"},
+		{"negative chunkRows", func(p *Plan) { p.ChunkRows = -1 }, "chunkRows"},
 		{"bad radius", func(p *Plan) { p.Area.RadiusArcsec = -1 }, "radius"},
 		{"incomplete step", func(p *Plan) { p.Steps[0].Endpoint = "" }, "incomplete"},
 		{"duplicate archive", func(p *Plan) { p.Steps[1].Archive = "SDSS" }, "twice"},

@@ -368,11 +368,6 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 		)
 		pruner = table.CandPruner(ps)
 	}
-	// Adaptive batching: the step's flush threshold follows the local
-	// predicate's observed selectivity, so a step whose full batches are
-	// mostly discarded stops gathering and broadcasting full-width ones.
-	// The floor comes from the table's recorded utilization history.
-	sizer := eval.NewBatchSizerFromTrace(n.batchTrace(step.Table))
 	accept := func(_ int, pos sphere.Vec) bool {
 		// Every observation in the result must lie in the query AREA.
 		return area.Contains(pos)
@@ -431,9 +426,9 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 	// the tuple's candidate blocks from the pruned batch search in search
 	// order, and the per-tuple extension groups are merged in input order,
 	// so the output is identical to the sequential, row-at-a-time scan's.
-	// One run call handles one batch of tuples; the scratch free-list and
-	// the adaptive sizer persist across calls, so a streamed step warms up
-	// once, not per page.
+	// One run call handles one batch of tuples; the scratch free-list
+	// persists across calls, so a streamed step warms up once, not per
+	// page.
 	run := func(rows [][]value.Value) ([][]value.Value, error) {
 		return forEachOrdered(len(rows), n.parallelism(p.Parallelism), func(tRow int) ([][]value.Value, error) {
 			row := rows[tRow]
@@ -466,7 +461,6 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 					stepErr = err
 					return false
 				}
-				sizer.Observe(cn, len(sel))
 				// The chi-square gate sits between the local and the cross
 				// predicates, as in the row-at-a-time loop.
 				gate := sc.gate[:0]
@@ -498,7 +492,6 @@ func (n *Node) newExtendRunner(p *plan.Plan, table *storage.Table, step plan.Ste
 				return true
 			}
 			searchCap := sphere.CapAround(acc.Best(), radius)
-			sc.sb.Limit = sizer.Size()
 			if err := table.SearchCapBatch(searchCap, &sc.sb, process); err != nil {
 				return nil, err
 			}
@@ -594,12 +587,6 @@ func (n *Node) newDropOutRunner(p *plan.Plan, table *storage.Table, step plan.St
 			func(s int) value.Type { return schema[s].Type })
 		pruner = table.CandPruner(ps)
 	}
-	// Drop-out steps profit most from adaptive batching: a veto usually
-	// arrives early in a batch, and everything gathered past it was
-	// wasted work, so frequently-vetoing steps shrink their batches —
-	// and the table's recorded trace lets the next query start with a
-	// floor matched to how early the vetoes actually landed.
-	sizer := eval.NewBatchSizerFromTrace(n.batchTrace(step.Table))
 	accept := func(_ int, pos sphere.Vec) bool { return area.Contains(pos) }
 	type vetoScratch struct {
 		batch *eval.TBatch
@@ -649,7 +636,6 @@ func (n *Node) newDropOutRunner(p *plan.Plan, table *storage.Table, step plan.St
 					for _, i := range sel {
 						if acc.Add(poss[i], step.SigmaArcsec).Matches(p.Threshold) {
 							vetoed = true
-							sizer.Observe(cn, i+1)
 							return false
 						}
 					}
@@ -657,11 +643,9 @@ func (n *Node) newDropOutRunner(p *plan.Plan, table *storage.Table, step plan.St
 						stepErr = err
 						return false
 					}
-					sizer.Observe(cn, cn)
 					return true
 				}
 				searchCap := sphere.CapAround(acc.Best(), radius)
-				sc.sb.Limit = sizer.Size()
 				err = table.SearchCapBatch(searchCap, &sc.sb, process)
 				scratch.put(sc)
 				if err != nil {
