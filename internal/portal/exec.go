@@ -269,7 +269,7 @@ func (s *portalServices) TableQuery(ctx context.Context, a *core.Archive, sql st
 // step's node and drains the chunked tuple response.
 func (s *portalServices) CrossMatch(ctx context.Context, pl *plan.Plan) (*dataset.DataSet, error) {
 	if s.p.planSharded(pl) {
-		return s.p.scatterCrossMatch(ctx, pl)
+		return s.p.runShardedChain(ctx, pl)
 	}
 	firstStep := pl.Steps[0]
 	var first soap.ChunkedData

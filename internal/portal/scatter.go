@@ -9,6 +9,18 @@ package portal
 // the shard outputs deterministically before stashing them as the next
 // step's incoming tuples.
 //
+// Tuple routing: an extend or drop-out step does not send every
+// incoming tuple to every shard. Each tuple's search cap — the cap the
+// node itself searches, acc.Best() with the χ² search radius — is
+// covered at the shard map's level after widening by routeMargin, and
+// the tuple is stashed only on the shards whose ranges meet that
+// cover. A shard can find candidates for a tuple only inside the node's
+// own cover of the cap, and the widened cover contains it (see
+// routeCap), so a shard a tuple skips holds no candidate for it. A
+// tuple with no search radius goes nowhere, and a shard routed no tuple
+// is not called; when no shard receives a tuple, one shard still runs
+// the step on the empty set so the step's schema comes from a node.
+//
 // Determinism is the whole game. Every merge must reproduce the exact
 // row order a single unsharded node would have produced:
 //
@@ -20,23 +32,27 @@ package portal
 //     payload columns through in input order, so each shard's output
 //     arrives with nondecreasing ordinals; a k-way merge by (ordinal,
 //     shard index) restores the single-node order and the ordinal
-//     column is stripped before the next step sees it.
-//   - Drop-out steps: a shard's output is the subset of incoming tuples
-//     that survived its local veto, so a tuple survives globally iff it
-//     survives on every shard — an ordinal-set intersection, taking the
-//     surviving rows from the coordinator's own copy.
+//     column is stripped before the next step sees it. A shard a tuple
+//     was not routed to would have extended it by nothing.
+//   - Drop-out steps: a shard's output is the subset of its routed
+//     tuples that survived its local veto, so a tuple survives globally
+//     iff it survives on every shard it was sent to — a tuple sent
+//     nowhere has no candidate anywhere and survives, as on the single
+//     node. The surviving rows come from the coordinator's own copy.
 //
 // Replica failover: every per-shard call runs through withReplicas,
 // which prefers followers (spreading reads off the append leader),
 // fails over to the next replica on any transport or node error, and
 // remembers dead endpoints for a cooldown so one dead node does not tax
-// every subsequent scatter with its timeout. Followers serve sealed
-// blocks that may trail the leader by an append batch —
-// stale-but-consistent reads, documented in docs/FEDERATION.md.
+// every subsequent scatter with its timeout. Each attempt stashes the
+// shard's routed subset afresh. Followers serve sealed blocks that may
+// trail the leader by an append batch — stale-but-consistent reads,
+// documented in docs/FEDERATION.md.
 
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,8 +64,10 @@ import (
 	"skyquery/internal/registry"
 	"skyquery/internal/skynode"
 	"skyquery/internal/soap"
+	"skyquery/internal/sphere"
 	"skyquery/internal/sqlparse"
 	"skyquery/internal/value"
+	"skyquery/internal/xmatch"
 )
 
 // ordColumn is the hidden ordinal the coordinator appends to stashed
@@ -98,17 +116,82 @@ func shardsForArea(m *registry.ShardMap, area *plan.Area) []registry.Shard {
 		return m.Shards
 	}
 	bound := region.Bounding()
-	ranges := htm.CoverCap(bound, htm.LevelForRadius(bound.Radius), m.Level).Ranges()
 	var out []registry.Shard
-	for _, sh := range m.Shards {
-		for _, r := range ranges {
-			if uint64(r.Lo) <= sh.Range.Hi && sh.Range.Lo <= uint64(r.Hi) {
-				out = append(out, sh)
-				break
-			}
-		}
+	for _, k := range appendMeeting(nil, m.Shards, htm.CoverCap(bound, htm.LevelForRadius(bound.Radius), m.Level)) {
+		out = append(out, m.Shards[k])
 	}
 	return out
+}
+
+// appendMeeting appends to dst the positions in shards of the shards
+// whose ranges meet the cover, ascending and without repeats. shards
+// must be sorted by range, as shard maps and their routed subsets are.
+func appendMeeting(dst []int, shards []registry.Shard, cov htm.Cover) []int {
+	start, k := len(dst), 0
+	cov.Each(func(r htm.Range, _ bool) bool {
+		for k < len(shards) && shards[k].Range.Hi < uint64(r.Lo) {
+			k++
+		}
+		// Ranges come in ascending order, so a shard this range meets
+		// again can only be the last one appended.
+		for j := k; j < len(shards) && shards[j].Range.Lo <= uint64(r.Hi); j++ {
+			if len(dst) == start || dst[len(dst)-1] != j {
+				dst = append(dst, j)
+			}
+		}
+		return k < len(shards)
+	})
+	return dst
+}
+
+// routeMargin (degrees, 0.36″) widens a tuple's search cap before it is
+// covered for routing. Every row a node's cap search returns lies within
+// the cap up to rounding: the partial-trixel test v·c ≥ cos r cannot
+// tell angles apart below ~3e-8 rad, and inner trixels are taken whole
+// on the same vertex test. The shard that holds the row placed it by
+// htm.Lookup of its own position, whose point-in-trixel slack is at
+// most ~1.1e-7 rad even at htm.MaxLevel. The margin, 1.7e-6 rad,
+// dominates their sum several times over, so the widened cap reaches
+// into every trixel, and hence every shard, that can hold a row the
+// node's own cover of the unwidened cap yields — rounding ties included.
+const routeMargin = 1e-4
+
+// routeCap appends to dst the positions in shards (sorted by range, at
+// the given level) of the shards a search cap must be sent to. A single
+// shard receives every cap: it is the only place a candidate can be.
+func routeCap(c sphere.Cap, shards []registry.Shard, level int, dst []int) []int {
+	if len(shards) == 1 {
+		return append(dst, 0)
+	}
+	return appendMeeting(dst, shards, htm.CoverCap(c.Expand(routeMargin), htm.LevelForRadius(c.Radius), level))
+}
+
+// routeTuples routes the incoming tuples of an extend or drop-out step:
+// routes[k] lists, ascending, the tuples whose search cap meets
+// shards[k], and sent[i] counts the shards tuple i goes to. A tuple
+// without a positive search radius goes nowhere — the node's search
+// finds no candidate for it (its extension is empty and it survives a
+// veto), so no shard could add anything.
+func routeTuples(d *dataset.DataSet, shards []registry.Shard, level int, threshold, sigmaArcsec float64) (routes [][]int, sent []int, err error) {
+	routes = make([][]int, len(shards))
+	sent = make([]int, len(d.Rows))
+	var hit []int
+	for i, row := range d.Rows {
+		acc, err := xmatch.CellsToAcc(row)
+		if err != nil {
+			return nil, nil, err
+		}
+		radius := acc.SearchRadius(threshold, sigmaArcsec)
+		if !(radius > 0) {
+			continue
+		}
+		hit = routeCap(sphere.CapAround(acc.Best(), radius), shards, level, hit[:0])
+		for _, k := range hit {
+			routes[k] = append(routes[k], i)
+		}
+		sent[i] = len(hit)
+	}
+	return routes, sent, nil
 }
 
 // replicaDown reports whether the endpoint is inside its failure
@@ -383,12 +466,6 @@ func orderKeys(q *sqlparse.Query, ds *dataset.DataSet) ([][]value.Value, error) 
 	return keys, nil
 }
 
-// scatterCrossMatch runs a cross-match chain whose plan touches at
-// least one sharded archive: the portal coordinates every step.
-func (p *Portal) scatterCrossMatch(ctx context.Context, pl *plan.Plan) (*dataset.DataSet, error) {
-	return p.runShardedChain(ctx, pl)
-}
-
 // scatterCrossMatchStream is the streamed form. Portal coordination
 // materializes each step's merged tuples anyway (the ordinal merge
 // needs the full shard outputs per step — a v1 trade-off documented in
@@ -403,31 +480,34 @@ func (p *Portal) scatterCrossMatchStream(ctx context.Context, pl *plan.Plan) (co
 	return core.NewSliceStream(ds, p.cfg.ChunkRows), nil
 }
 
-// stepShards resolves the scatter targets of one plan step: the routed
-// shard list for a sharded archive, or the step's own endpoint wrapped
-// as a single pseudo-shard for a flat one (flat archives ride the same
-// isolated-step machinery inside an otherwise sharded plan).
-func (p *Portal) stepShards(step plan.Step, area plan.Area) ([]registry.Shard, error) {
+// stepShards resolves the scatter targets of one plan step and the
+// level their ranges are at: the routed shard list for a sharded
+// archive, or the step's own endpoint wrapped as a single pseudo-shard
+// for a flat one (flat archives ride the same isolated-step machinery
+// inside an otherwise sharded plan).
+func (p *Portal) stepShards(step plan.Step, area plan.Area) ([]registry.Shard, int, error) {
 	m := p.reg.ShardMap(step.Archive)
 	if m == nil {
 		uni := htm.LevelRange(0)
 		return []registry.Shard{{
 			Range:  registry.ShardRange{Lo: uint64(uni.Lo), Hi: uint64(uni.Hi)},
 			Leader: step.Endpoint,
-		}}, nil
+		}}, 0, nil
 	}
 	if err := p.routable(m); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return shardsForArea(m, &area), nil
+	return shardsForArea(m, &area), m.Level, nil
 }
 
 // runShardedChain walks the plan from the seed step (last in call
 // order) to the first, scattering each step in isolated mode and
-// merging shard outputs into the next step's incoming tuples. Failed
-// calls retry on the shard's other replicas with a freshly stashed
-// token — stash tokens are consumed by the fetch, so every attempt gets
-// its own; tokens of dead attempts age out of the ChunkStore sweep.
+// merging shard outputs into the next step's incoming tuples. Extend
+// and drop-out steps send each shard only the tuples routed to it (see
+// routeTuples) and skip the shards routed none. Failed calls retry on
+// the shard's other replicas with a freshly stashed token — stash
+// tokens are consumed by the fetch, so every attempt gets its own;
+// tokens of dead attempts age out of the ChunkStore sweep.
 func (p *Portal) runShardedChain(ctx context.Context, pl *plan.Plan) (*dataset.DataSet, error) {
 	self := p.selfURL()
 	chunkRows := pl.ChunkRows
@@ -437,25 +517,34 @@ func (p *Portal) runShardedChain(ctx context.Context, pl *plan.Plan) (*dataset.D
 	var cur *dataset.DataSet
 	for i := len(pl.Steps) - 1; i >= 0; i-- {
 		step := pl.Steps[i]
-		shards, err := p.stepShards(step, pl.Area)
+		shards, level, err := p.stepShards(step, pl.Area)
 		if err != nil {
 			return nil, err
 		}
 		seed := i == len(pl.Steps)-1
-		var stash *dataset.DataSet
-		if !seed {
+		// stashes[k] is shard k's incoming tuples, nil for the seed step.
+		var stashes []*dataset.DataSet
+		var sent []int
+		if seed {
+			p.emit("shard.scatter", "step %s -> %d shard(s)", step.Archive, len(shards))
+		} else {
 			if self == "" {
 				return nil, fmt.Errorf("portal: sharded execution needs SetSelfURL (nodes fetch incoming tuples from the portal's stash)")
 			}
-			stash = withOrdinals(cur)
+			var routes [][]int
+			routes, sent, err = routeTuples(cur, shards, level, pl.Threshold, step.SigmaArcsec)
+			if err != nil {
+				return nil, err
+			}
+			shards, stashes = routedStashes(withOrdinals(cur), shards, routes)
+			p.emit("shard.scatter", "step %s -> %d shard(s), %s", step.Archive, len(shards), routeSummary(shards, stashes, sent))
 		}
-		p.emit("shard.scatter", "step %s -> %d shard(s)", step.Archive, len(shards))
 		outs := make([]*dataset.DataSet, len(shards))
 		err = scatterEach(shards, func(k int, sh registry.Shard) error {
 			return p.withReplicas(ctx, step.Archive, sh, func(ep string) (err error) {
 				req := &skynode.CrossMatchRequest{Plan: *pl, Isolated: true}
-				if stash != nil {
-					tok := p.chunks.Stash(stash, chunkRows, 1)[0]
+				if stashes != nil {
+					tok := p.chunks.Stash(stashes[k], chunkRows, 1)[0]
 					req.Incoming = &skynode.IncomingRef{Endpoint: self, Token: tok}
 					// A failed or cancelled attempt never drains its
 					// token; release it now instead of waiting for the
@@ -485,7 +574,7 @@ func (p *Portal) runShardedChain(ctx context.Context, pl *plan.Plan) (*dataset.D
 		case seed:
 			cur, err = concatShards(outs)
 		case step.DropOut:
-			cur, err = intersectShards(cur, outs)
+			cur, err = intersectShards(cur, outs, sent)
 		default:
 			cur, err = mergeShards(outs)
 		}
@@ -494,6 +583,53 @@ func (p *Portal) runShardedChain(ctx context.Context, pl *plan.Plan) (*dataset.D
 		}
 	}
 	return cur, nil
+}
+
+// routedStashes keeps the shards routed at least one tuple, each with
+// its routed subset of the ordinal-tagged tuples (rows shared, not
+// copied). When no shard is routed a tuple, the first shard runs the
+// step on the empty set, so the step's output schema still comes from
+// a node.
+func routedStashes(tagged *dataset.DataSet, shards []registry.Shard, routes [][]int) ([]registry.Shard, []*dataset.DataSet) {
+	var keep []registry.Shard
+	var stashes []*dataset.DataSet
+	for k, rows := range routes {
+		if len(rows) == 0 {
+			continue
+		}
+		part := &dataset.DataSet{Columns: tagged.Columns, Rows: make([][]value.Value, len(rows))}
+		for j, i := range rows {
+			part.Rows[j] = tagged.Rows[i]
+		}
+		keep = append(keep, shards[k])
+		stashes = append(stashes, part)
+	}
+	if len(keep) == 0 {
+		return shards[:1], []*dataset.DataSet{{Columns: tagged.Columns}}
+	}
+	return keep, stashes
+}
+
+// routeSummary renders a step's routing for the shard.scatter event:
+// how many of the incoming tuples went anywhere, and each called
+// shard's routed count by shard index.
+func routeSummary(shards []registry.Shard, stashes []*dataset.DataSet, sent []int) string {
+	routed := 0
+	for _, n := range sent {
+		if n > 0 {
+			routed++
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d of %d tuple(s) routed [", routed, len(sent))
+	for k, sh := range shards {
+		if k > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%d:%d", sh.Index, stashes[k].NumRows())
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 // withOrdinals appends the hidden ordinal column, numbering rows by
@@ -568,32 +704,36 @@ func mergeShards(outs []*dataset.DataSet) (*dataset.DataSet, error) {
 }
 
 // intersectShards merges drop-out-step outputs: a shard returns the
-// incoming tuples its local archive did NOT veto, so a tuple survives
-// the global veto iff every shard returned it. The surviving rows come
-// from the coordinator's own pre-ordinal copy, which keeps the output
+// routed tuples its local archive did NOT veto, so a tuple survives the
+// global veto iff every shard it was sent to (sent[i] of them) returned
+// it; a tuple sent nowhere survives. The surviving rows come from the
+// coordinator's own pre-ordinal copy, which keeps the output
 // bit-identical to the single-node fold.
-func intersectShards(incoming *dataset.DataSet, outs []*dataset.DataSet) (*dataset.DataSet, error) {
+func intersectShards(incoming *dataset.DataSet, outs []*dataset.DataSet, sent []int) (*dataset.DataSet, error) {
 	if _, err := shardSchema(outs); err != nil {
 		return nil, err
 	}
-	survived := map[int64]int{}
+	survived := make([]int, len(incoming.Rows))
 	for _, o := range outs {
 		oi := o.ColumnIndex(ordColumn)
 		if oi < 0 {
 			return nil, fmt.Errorf("portal: drop-out shard output lost the ordinal column")
 		}
-		seen := map[int64]bool{}
+		// Survivors keep input order, so each shard's ordinals ascend
+		// strictly; anything else is a node fault, not a vote.
+		last := int64(-1)
 		for _, r := range o.Rows {
 			ord := r[oi].AsInt()
-			if !seen[ord] {
-				seen[ord] = true
-				survived[ord]++
+			if ord <= last || ord >= int64(len(survived)) {
+				return nil, fmt.Errorf("portal: drop-out shard output has ordinal %d after %d (of %d tuples)", ord, last, len(survived))
 			}
+			last = ord
+			survived[ord]++
 		}
 	}
 	out := &dataset.DataSet{Columns: incoming.Columns, Rows: make([][]value.Value, 0, len(incoming.Rows))}
 	for i, r := range incoming.Rows {
-		if survived[int64(i)] == len(outs) {
+		if survived[i] == sent[i] {
 			out.Rows = append(out.Rows, r)
 		}
 	}

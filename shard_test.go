@@ -15,6 +15,10 @@ package skyquery
 //   - TestShardScatterPrunes: nettrace-counter proof that a query whose
 //     cover intersects a subset of trixel ranges never calls the other
 //     shards.
+//   - TestShardTupleRouting: extend and drop-out steps send each tuple
+//     only to the shards its search cap reaches — the answer stays
+//     bit-identical, the stash stays near one copy of the incoming
+//     tuples, and a shard routed nothing is never called.
 //   - TestWriteBenchShardJSON: flag-gated shard_scaleout entry (qps vs
 //     shard count) merged into BENCH_scan.json.
 
@@ -25,7 +29,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -33,6 +39,7 @@ import (
 
 	"skyquery/internal/eval"
 	"skyquery/internal/htm"
+	"skyquery/internal/skynode"
 )
 
 // goldenQueries returns the corpus files sorted by name.
@@ -237,6 +244,149 @@ func TestShardScatterPrunes(t *testing.T) {
 	}
 	if pruned == 0 {
 		t.Error("no shard was pruned")
+	}
+}
+
+// routedStep is one extend or drop-out step's shard.scatter event.
+type routedStep struct {
+	archive          string
+	routed, incoming int
+	perShard         map[int]int // routed tuples by shard index
+}
+
+var routedStepRE = regexp.MustCompile(`^step (\S+) -> (\d+) shard\(s\), (\d+) of (\d+) tuple\(s\) routed \[(.*)\]$`)
+
+func parseRoutedStep(t *testing.T, detail string) (routedStep, bool) {
+	t.Helper()
+	m := routedStepRE.FindStringSubmatch(detail)
+	if m == nil {
+		return routedStep{}, false
+	}
+	st := routedStep{archive: m[1], perShard: map[int]int{}}
+	st.routed, _ = strconv.Atoi(m[3])
+	st.incoming, _ = strconv.Atoi(m[4])
+	for _, f := range strings.Fields(m[5]) {
+		idx, n, ok := strings.Cut(f, ":")
+		k, err1 := strconv.Atoi(idx)
+		c, err2 := strconv.Atoi(n)
+		if !ok || err1 != nil || err2 != nil {
+			t.Fatalf("malformed shard count %q in %q", f, detail)
+		}
+		st.perShard[k] = c
+	}
+	if want, _ := strconv.Atoi(m[2]); len(st.perShard) != want {
+		t.Fatalf("%q lists %d shards, says %d", detail, len(st.perShard), want)
+	}
+	return st, true
+}
+
+func TestShardTupleRouting(t *testing.T) {
+	const shards = 8
+	// A small, dense field puts many tuples within a search radius of a
+	// shard cut.
+	region := NewCap(185, -0.5, 0.05)
+	var mu sync.Mutex
+	var scatters []string
+	f := launch(t, Options{
+		Region: region, Bodies: 1500, Shards: shards, RecordCalls: true,
+		PortalEvents: func(kind, detail string) {
+			if kind == "shard.scatter" {
+				mu.Lock()
+				scatters = append(scatters, detail)
+				mu.Unlock()
+			}
+		},
+	})
+	flat := launch(t, Options{Region: region, Bodies: 1500})
+
+	// Centre the AREA on the cut between TWOMASS shards 3 and 4.
+	m := f.Portal.Registry().ShardMap("TWOMASS")
+	if m == nil || len(m.Shards) != shards {
+		t.Fatalf("TWOMASS shard map = %+v, want %d shards", m, shards)
+	}
+	ra, dec := htm.ID(m.Shards[4].Range.Lo).Triangle().Center().RaDec()
+	query := fmt.Sprintf(`SELECT O.object_id, T.object_id, O.flux
+	FROM SDSS:PhotoObject O, TWOMASS:PhotoObject T, FIRST:PhotoObject P
+	WHERE AREA(%.9f, %.9f, 120) AND XMATCH(O, T, !P) < 3.5`, ra, dec)
+
+	want, err := flat.Query(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) == 0 {
+		t.Fatal("the query matches nothing; the drill shows nothing")
+	}
+	if _, err := f.Query(context.Background(), query); err != nil { // warm plans and stats
+		t.Fatal(err)
+	}
+	mu.Lock()
+	scatters = nil
+	mu.Unlock()
+	f.Transport.Reset()
+	got, err := f.Query(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goldenEncode(got) != goldenEncode(want) {
+		t.Fatalf("routed answer diverges from the unsharded federation:\n%s\nvs\n%s", goldenEncode(got), goldenEncode(want))
+	}
+
+	crossMatchCalls := func(key string) int {
+		url := f.NodeURLs[key]
+		n := 0
+		for _, c := range f.Transport.Calls() {
+			if strings.HasPrefix(c.URL, url) && c.Action == skynode.ActionCrossMatch {
+				n++
+			}
+		}
+		return n
+	}
+	mu.Lock()
+	details := append([]string(nil), scatters...)
+	mu.Unlock()
+	steps, boundary, skipped := 0, 0, 0
+	for _, d := range details {
+		st, ok := parseRoutedStep(t, d)
+		if !ok {
+			continue // the seed step
+		}
+		steps++
+		t.Logf("%s", d)
+		total := 0
+		for _, n := range st.perShard {
+			total += n
+		}
+		// Each routed tuple reaches at least one shard; a tuple reaches
+		// more only near a cut. Even in this deliberately cut-heavy field
+		// those stay a minority — sending every tuple to every routed
+		// shard would stash about len(perShard) copies.
+		extra := total - st.routed
+		if st.routed > 0 && extra < 0 {
+			t.Errorf("%s: %d routed tuples stashed only %d times", st.archive, st.routed, total)
+		}
+		if st.routed > st.incoming || 4*extra > st.incoming {
+			t.Errorf("%s: stashed %d rows for %d incoming tuples (%d routed); want at most the incoming tuples plus a few boundary ones",
+				st.archive, total, st.incoming, st.routed)
+		}
+		boundary += extra
+		for k := 0; k < shards; k++ {
+			n := crossMatchCalls(fmt.Sprintf("%s/%d", st.archive, k))
+			if _, called := st.perShard[k]; called != (n > 0) {
+				t.Errorf("%s/%d: %d CrossMatch call(s), routed=%v", st.archive, k, n, called)
+			}
+			if n == 0 {
+				skipped++
+			}
+		}
+	}
+	if steps != 2 {
+		t.Fatalf("saw %d routed steps, want the extend and the drop-out: %q", steps, details)
+	}
+	if boundary == 0 {
+		t.Error("no tuple reached two shards; the AREA does not exercise a cut")
+	}
+	if skipped == 0 {
+		t.Error("every shard was called; routing skipped none")
 	}
 }
 
